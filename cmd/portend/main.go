@@ -230,7 +230,7 @@ func runRemote(ctx context.Context, base, tenant, workload string, args, inputs 
 	fmt.Printf("done: %d race(s), %d verdict(s), %d error(s) in %.3fs",
 		done.Races, done.Verdicts, done.Errors, float64(done.DurationNs)/1e9)
 	if done.WarmStart {
-		fmt.Printf("  (warm start: tier run %d)", done.Tier.Runs)
+		fmt.Print("  (warm start: replayed from the verdict store)")
 	}
 	fmt.Println()
 }

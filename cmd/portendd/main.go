@@ -1,17 +1,15 @@
 // Command portendd is the long-lived Portend analysis service: an HTTP
 // daemon that accepts many concurrent analysis submissions, streams
-// verdicts back as NDJSON, and keeps per-submission persistent cache
-// tiers so repeat analyses of the same program start warm (solver memo,
-// concrete and symbolic checkpoints, sibling-outcome memos survive
-// across requests). With -data-dir the tiers are also durable: each is
-// serialized to a checksummed on-disk file and restored lazily after a
-// restart, so warmth survives crashes and redeploys.
+// verdicts back as NDJSON. With -data-dir it keeps a durable verdict
+// store: each completed stream is written to a checksummed on-disk file
+// keyed by the submission, and a repeat submission — before or after a
+// restart — is answered by replaying that file instead of re-running.
 //
 // Usage:
 //
 //	portendd [-addr :7811] [-slots N] [-queue-soft 2] [-queue-hard 8]
-//	         [-memory-budget-mb 256] [-max-tiers N] [-solver-ceiling N]
-//	         [-data-dir DIR] [-run-timeout D] [-drain-timeout 10s]
+//	         [-solver-ceiling N] [-parallel N] [-data-dir DIR]
+//	         [-run-timeout D] [-drain-timeout 10s]
 //	         [-faults SPEC]
 //
 // Endpoints: POST /v1/analyze (NDJSON verdict stream), GET /metrics
@@ -20,8 +18,8 @@
 // X-Portend-Tenant header; admission is round-robin fair across
 // tenants, with per-tenant bounded queues that degrade budgets past the
 // soft depth and shed with 429 at the hard depth. SIGTERM drains:
-// in-flight runs finish (up to -drain-timeout), dirty tiers flush to
-// -data-dir, then the listener closes. -faults (or PORTEND_FAULTS) arms
+// in-flight runs finish (up to -drain-timeout), then the listener
+// closes. -faults (or PORTEND_FAULTS) arms
 // internal/fault injection points for chaos testing. See
 // docs/service.md and docs/operations.md.
 package main
@@ -47,13 +45,11 @@ func main() {
 	slots := flag.Int("slots", 0, "concurrent analyses (0 = GOMAXPROCS)")
 	queueSoft := flag.Int("queue-soft", 2, "per-tenant queue depth beyond which runs use a degraded budget")
 	queueHard := flag.Int("queue-hard", 8, "per-tenant queue depth at which requests are shed with 429")
-	memBudget := flag.Int("memory-budget-mb", 256, "collective memory budget for persistent cache tiers (measured)")
-	maxTiers := flag.Int("max-tiers", 0, "cache-tier count bound (0 = derive from -memory-budget-mb)")
-	solverCeiling := flag.Int("solver-ceiling", 0, "adaptive solver-cache ceiling per tier (0 = default)")
+	solverCeiling := flag.Int("solver-ceiling", 0, "adaptive solver-cache ceiling per run (0 = default)")
 	parallel := flag.Int("parallel", 0, "default per-request classification pool width (0 = GOMAXPROCS)")
-	dataDir := flag.String("data-dir", "", "directory for durable cache tiers (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "directory of the durable verdict store (empty = no store; every request runs)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run watchdog; runs past it end with a terminal error event (0 = off)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight runs on SIGTERM before flushing tiers")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight runs on SIGTERM before closing the listener")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. dstore.write:1,run.panic:* (also PORTEND_FAULTS)")
 	flag.Parse()
 
@@ -84,8 +80,6 @@ func main() {
 		Slots:              *slots,
 		QueueSoft:          *queueSoft,
 		QueueHard:          *queueHard,
-		MemoryBudgetMB:     *memBudget,
-		MaxTiers:           *maxTiers,
 		SolverCacheCeiling: *solverCeiling,
 		DefaultParallel:    *parallel,
 		DataDir:            *dataDir,

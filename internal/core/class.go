@@ -191,8 +191,8 @@ type Options struct {
 	NoStaticPrune bool
 
 	// StaticFacts supplies a precomputed static-analysis artifact for the
-	// exact program under analysis (e.g. the server's admission-time facts
-	// cached on its tier). nil lets RunStream run the pass itself when
+	// exact program under analysis (e.g. the server's admission-time
+	// facts). nil lets RunStream run the pass itself when
 	// static consumers are enabled. Facts decoded from JSON lack the
 	// per-pc consumer index and degrade to no pruning.
 	StaticFacts *sa.Facts
@@ -218,17 +218,10 @@ type Options struct {
 	// 0; without it a zero Seed falls back to DefaultOptions().Seed.
 	SeedSet bool
 
-	// Tier, when non-nil, supplies run-outliving caches (checkpoint
-	// stores, solver memo) instead of the per-run set RunStream would
-	// otherwise create. The caller owns the soundness contract: a tier
-	// may only be shared between runs of the identical (program, args,
-	// inputs, options) — see CacheTier. Ignored when NoCache is set.
-	Tier *CacheTier
-
 	// SolverCacheCeiling bounds the adaptive solver cache's growth for
 	// runs that create their own caches (<= 0 means the default ceiling;
-	// see solver.NewAdaptiveCache). A server hosting many tiers sets this
-	// to budget memory per tier.
+	// see solver.NewAdaptiveCache). A server running many analyses at
+	// once sets this to budget memory per run.
 	SolverCacheCeiling int
 
 	// shared carries the per-run caches (replay checkpoints, solver

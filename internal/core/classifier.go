@@ -102,12 +102,7 @@ func New(prog *bytecode.Program, opts Options) *Classifier {
 	}
 	shared := opts.shared
 	if shared == nil && !opts.NoCache {
-		if opts.Tier != nil {
-			opts.Tier.bindPredicates(opts.Predicates)
-			shared = opts.Tier.shared
-		} else {
-			shared = newSharedCaches(opts)
-		}
+		shared = newSharedCaches(opts)
 	}
 	sol := solver.New(opts.Solver)
 	sol.Cache = shared.solverCache()

@@ -83,19 +83,9 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	// deterministic replay, memoized answers are what the deterministic
 	// search would recompute); they only shift time, which the
 	// determinism suite asserts by diffing cached vs uncached runs.
-	// A caller-supplied CacheTier replaces the per-run bundle: its
-	// contents outlive the run, so a repeat submission of the identical
-	// (program, args, inputs, options) starts warm. The tier owner calls
-	// BeginRun/end around RunStream; here the tier's bundle simply takes
-	// the per-run bundle's place.
 	inner := opts
 	if !inner.NoCache && inner.shared == nil {
-		if inner.Tier != nil {
-			inner.Tier.bindPredicates(inner.Predicates)
-			inner.shared = inner.Tier.shared
-		} else {
-			inner.shared = newSharedCaches(inner)
-		}
+		inner.shared = newSharedCaches(inner)
 	}
 	// Static pre-analysis: run the internal/sa pass once per run (unless
 	// the caller supplied cached facts, e.g. the server's admission-time

@@ -49,18 +49,6 @@ func newSharedCaches(opts Options) *sharedCaches {
 	}
 }
 
-// unbind releases the bundle's trace binding so the next run can bind
-// its own trace. Only CacheTier.BeginRun calls this, and only on the
-// 0→1 active-run transition: stored checkpoints are positions within a
-// recorded schedule, and a tier's reuse contract (identical program,
-// args, inputs, options ⇒ identical recorded trace) is what makes
-// entries recorded against the previous run's trace valid for the next.
-func (s *sharedCaches) unbind() {
-	s.mu.Lock()
-	s.tr = nil
-	s.mu.Unlock()
-}
-
 // bindTrace binds the bundle to tr on first use and reports whether tr
 // is the bundle's trace. Checkpoints are positions within one recorded
 // schedule; if a classifier with a private bundle is asked about a

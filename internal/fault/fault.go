@@ -2,7 +2,7 @@
 // testing the service's durability layer. Production code asks Fire at
 // named injection points; a point fires only while armed, so tests (and
 // the chaos-smoke CI job) can induce a disk-write failure, a truncated
-// serialization, a failed or delayed tier load, or a panicking run at an
+// serialization, a failed store load, or a panicking run at an
 // exact moment — cheaply, without OS-level tricks, and reproducibly.
 //
 // Points are armed with a spec string — comma-separated `point[:count]`
@@ -32,13 +32,10 @@ const (
 	// DStoreTruncate cuts a durable-store write short after the header,
 	// modelling a crash mid-write; the CRC catches it on load.
 	DStoreTruncate = "dstore.truncate"
-	// TierLoadFail makes a tier load report an I/O error.
-	TierLoadFail = "tier.load.fail"
-	// TierLoadDelay stalls a tier load briefly (the server picks the
-	// duration), modelling slow disk during warm-up.
-	TierLoadDelay = "tier.load.delay"
+	// StoreLoadFail makes a durable-store load report an I/O error.
+	StoreLoadFail = "store.load.fail"
 	// RunPanic panics inside an analysis run, exercising the recover
-	// boundary and tier poisoning.
+	// boundary.
 	RunPanic = "run.panic"
 )
 

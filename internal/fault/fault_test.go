@@ -46,7 +46,7 @@ func TestAlwaysPoint(t *testing.T) {
 		}
 	}
 	// Other points stay dark.
-	if Fire(TierLoadFail) {
+	if Fire(StoreLoadFail) {
 		t.Fatal("unarmed point fired")
 	}
 }
@@ -54,13 +54,13 @@ func TestAlwaysPoint(t *testing.T) {
 func TestBareSpecMeansOnce(t *testing.T) {
 	Reset()
 	defer Reset()
-	if err := Set(TierLoadFail); err != nil {
+	if err := Set(StoreLoadFail); err != nil {
 		t.Fatal(err)
 	}
-	if !Fire(TierLoadFail) {
+	if !Fire(StoreLoadFail) {
 		t.Fatal("first Fire = false, want true")
 	}
-	if Fire(TierLoadFail) {
+	if Fire(StoreLoadFail) {
 		t.Fatal("second Fire = true, want one-shot")
 	}
 }

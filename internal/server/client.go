@@ -23,13 +23,13 @@ import (
 // With MaxRetries > 0 the client is resumable: connect failures, 429
 // shed responses (honoring Retry-After), 503 draining responses, and
 // mid-stream disconnects are retried with exponential backoff plus
-// jitter. Re-submission is safe — the server's cache tier is warm, and
-// the engine's determinism contract makes every attempt stream the same
-// events in the same order — so the client dedupes by detection-order
-// index: verdict and race-error events already handed to fn are skipped
-// on the resumed stream, and the merged output is byte-identical to an
-// uninterrupted run. Terminal error events (including panics) and 4xx
-// rejections are never retried.
+// jitter. Re-submission is safe — the engine's determinism contract
+// (and, with a data dir, the server's verdict store) makes every
+// attempt stream the same events in the same order — so the client
+// dedupes by detection-order index: verdict and race-error events
+// already handed to fn are skipped on the resumed stream, and the
+// merged output is byte-identical to an uninterrupted run. Terminal
+// error events (including panics) and 4xx rejections are never retried.
 type Client struct {
 	Base   string
 	Tenant string
@@ -218,8 +218,8 @@ func (c *Client) attempt(ctx context.Context, req Request, fn func(Event) error,
 		}
 	}
 	if err := sc.Err(); err != nil {
-		// Mid-stream disconnect: the tier is warm, the resumed stream is
-		// deterministic, and dedupe makes the retry safe.
+		// Mid-stream disconnect: the resumed stream is deterministic, and
+		// dedupe makes the retry safe.
 		return nil, ctx.Err() == nil, err
 	}
 	return nil, ctx.Err() == nil, &RemoteError{Message: "stream ended without a done event"}

@@ -3,8 +3,11 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,13 +16,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dstore"
 	"repro/internal/fault"
 	"repro/internal/workloads"
 	"repro/internal/workloads/corpus"
 )
 
-// tierFiles lists the live .tier files under dir.
-func tierFiles(t *testing.T, dir string) []string {
+// storeFiles lists the live store files under dir.
+func storeFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -44,11 +48,45 @@ func metricValue(t *testing.T, base, name string) string {
 	return ""
 }
 
-// TestTierSurvivesRestart is the durability tentpole end to end: every
+// streamLines posts a request and returns the raw NDJSON lines of its
+// verdict events, stats included, plus the done summary.
+func streamLines(t *testing.T, base string, req Request) (lines []string, done *DoneInfo) {
+	t.Helper()
+	resp := postAnalyze(t, base, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line: %v\n%s", err, sc.Bytes())
+		}
+		switch ev.Type {
+		case EventVerdict:
+			lines = append(lines, sc.Text())
+		case EventDone:
+			done = ev.Done
+		default:
+			t.Fatalf("unexpected %s event: %s", ev.Type, sc.Bytes())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if done == nil {
+		t.Fatal("stream ended without a done event")
+	}
+	return lines, done
+}
+
+// TestTierSurvivesRestart is the verdict store end to end: every
 // workload and curated corpus program analyzed by one daemon instance is
-// warm in the next instance sharing its data dir — warmStart on the
-// done event, and verdicts byte-identical to the pre-restart run at
-// pool widths 1 and 8.
+// answered from the store by the next instance sharing its data dir —
+// warmStart on the done event, and verdict event lines byte-identical to
+// the pre-restart run, stats included, at pool widths 1 and 8.
 func TestTierSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -71,70 +109,59 @@ func TestTierSurvivesRestart(t *testing.T) {
 		subs = append(subs, sub{name: "corpus/" + cp.Name, req: req})
 	}
 
-	// First life: analyze everything cold; per-run flushes persist each
-	// tier, and Drain flushes whatever is left.
+	// First life: analyze everything cold; each completed run writes its
+	// entry before its done event.
 	s1 := New(Config{DataDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
-	c1 := &Client{Base: ts1.URL}
 	coldLines := make(map[string][]string)
-	coldDone := make(map[string]*DoneInfo)
 	for _, sb := range subs {
 		req := sb.req
 		req.Options = &RequestOptions{Parallel: 1}
-		lines, _, done := remoteVerdicts(t, c1, req)
+		lines, done := streamLines(t, ts1.URL, req)
 		if done.WarmStart {
 			t.Errorf("%s: cold first run claims warm start", sb.name)
 		}
 		coldLines[sb.name] = lines
-		coldDone[sb.name] = done
 	}
+	written := storeFiles(t, dir)
+	if len(written) != len(subs) {
+		t.Fatalf("first life wrote %d entries, want %d", len(written), len(subs))
+	}
+	// Drain only waits for in-flight runs; it writes nothing.
 	s1.Drain()
 	ts1.Close()
-	if len(tierFiles(t, dir)) == 0 {
-		t.Fatal("first life persisted no tier files")
+	if got := storeFiles(t, dir); len(got) != len(written) {
+		t.Fatalf("drain changed the store: %d files, want %d", len(got), len(written))
 	}
 
 	// Second life: a fresh process image over the same data dir.
 	s2 := New(Config{DataDir: dir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	c2 := &Client{Base: ts2.URL}
 	for _, sb := range subs {
-		first := coldDone[sb.name]
-		// A statically-clean fast path never touches a tier; a run whose
-		// caches ended empty has nothing to persist or restore.
-		expectWarm := !first.StaticClean &&
-			(first.Tier.Checkpoints > 0 || first.Tier.SymCheckpoints > 0 || first.Tier.SolverEntries > 0)
 		for _, width := range []int{1, 8} {
 			req := sb.req
 			req.Options = &RequestOptions{Parallel: width}
-			lines, _, done := remoteVerdicts(t, c2, req)
+			lines, done := streamLines(t, ts2.URL, req)
 			tag := fmt.Sprintf("%s width=%d", sb.name, width)
-			assertSame(t, tag+" verdicts vs pre-restart", coldLines[sb.name], lines)
-			if expectWarm && !done.WarmStart {
-				t.Errorf("%s: not warm after restart (first life tier %+v)", tag, first.Tier)
+			assertSame(t, tag+" event lines vs pre-restart", coldLines[sb.name], lines)
+			if !done.WarmStart {
+				t.Errorf("%s: not answered from the store after restart", tag)
 			}
 		}
 	}
-
-	// The canonical warm workload must observe actual cross-run reuse,
-	// not just a nonempty store: restored checkpoints serve the replay.
-	req := Request{Workload: "sqlite", Options: &RequestOptions{Parallel: 1}}
-	_, _, again := remoteVerdicts(t, c2, req)
-	delta := again.Tier.CheckpointHits - coldDone["workload/sqlite"].Tier.CheckpointHits
-	if delta < 1 {
-		t.Errorf("sqlite: no cross-restart checkpoint hits (first %+v, post-restart %+v)",
-			coldDone["workload/sqlite"].Tier, again.Tier)
+	if v := metricValue(t, ts2.URL, "portend_store_hits_total"); v != fmt.Sprint(2*len(subs)) {
+		t.Errorf("portend_store_hits_total = %q, want %d", v, 2*len(subs))
 	}
-
-	if v := metricValue(t, ts2.URL, "portend_tier_restores_total"); v == "0" || v == "" {
-		t.Errorf("portend_tier_restores_total = %q, want > 0", v)
+	if s2.dispatch.active.Load() != 0 || metricValue(t, ts2.URL, "portend_store_writes_total") != "0" {
+		t.Error("store hits ran or wrote entries")
 	}
 }
 
 // TestCorruptTierQuarantined pins the recovery path: a flipped byte in a
-// tier file must cost warmth only — the daemon quarantines the file,
-// logs, serves the submission cold, and produces the same verdicts.
+// store file must cost reuse only — the daemon quarantines the file,
+// logs, runs the submission cold, produces the same verdicts, and
+// writes a good entry back.
 func TestCorruptTierQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	req := Request{Workload: "sqlite", Options: &RequestOptions{Parallel: 1}}
@@ -145,9 +172,9 @@ func TestCorruptTierQuarantined(t *testing.T) {
 	wantLines, _, _ := remoteVerdicts(t, c1, req)
 	ts1.Close()
 
-	files := tierFiles(t, dir)
+	files := storeFiles(t, dir)
 	if len(files) != 1 {
-		t.Fatalf("tier files = %v, want exactly 1", files)
+		t.Fatalf("store files = %v, want exactly 1", files)
 	}
 	path := filepath.Join(dir, files[0])
 	raw, err := os.ReadFile(path)
@@ -165,20 +192,78 @@ func TestCorruptTierQuarantined(t *testing.T) {
 	c2 := &Client{Base: ts2.URL}
 	gotLines, _, done := remoteVerdicts(t, c2, req)
 	if done.WarmStart {
-		t.Error("corrupt tier still reported warm")
+		t.Error("corrupt entry still reported warm")
 	}
 	assertSame(t, "verdicts after quarantine", wantLines, gotLines)
 
 	if _, err := os.Stat(path + ".quarantine"); err != nil {
 		t.Errorf("quarantine file missing: %v", err)
 	}
-	if v := metricValue(t, ts2.URL, "portend_tier_load_errors_total"); v != "1" {
-		t.Errorf("portend_tier_load_errors_total = %q, want 1", v)
+	if v := metricValue(t, ts2.URL, "portend_store_load_errors_total"); v != "1" {
+		t.Errorf("portend_store_load_errors_total = %q, want 1", v)
 	}
-	// The cold rerun reflushed a good file under the live name.
-	if got := tierFiles(t, dir); len(got) != 1 {
-		t.Errorf("live tier files after recovery = %v, want 1", got)
+	// The cold rerun wrote a good entry under the live name.
+	if got := storeFiles(t, dir); len(got) != 1 {
+		t.Errorf("live store files after recovery = %v, want 1", got)
 	}
+}
+
+// TestUnreadableEntryRunsCold covers store files that are not verdict
+// streams of this schema: a leftover portend-tier/1 cache-tier snapshot,
+// a length field near 2^64 (which once overflowed the bounds check and
+// panicked), and a well-framed payload that is not an event stream. The
+// first request quarantines the file, counts one load error, runs cold
+// and writes an entry; the second is a store hit.
+func TestUnreadableEntryRunsCold(t *testing.T) {
+	req := Request{Workload: "rw", Options: &RequestOptions{Parallel: 1}}
+	s0 := New(Config{})
+	key := keyFor(&req, s0.optionsFor(&req))
+	name := hex.EncodeToString(key[:]) + ".tier"
+
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"legacy-tier", append([]byte("portend-tier/1\n\x00\x00\x00\x00\x00\x00\x00\x02"), "{}\x00\x00\x00\x00"...)},
+		{"length-overflow", append([]byte(dstore.Schema+"\n\xff\xff\xff\xff\xff\xff\xff\xff"), "payload and crc"...)},
+		{"not-a-stream", framed([]byte("{\"type\":\"error\"}\n"))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(Config{DataDir: dir}).Handler())
+			defer ts.Close()
+
+			first, done1 := streamLines(t, ts.URL, req)
+			if done1.WarmStart {
+				t.Error("unreadable entry reported warm")
+			}
+			if _, err := os.Stat(path + ".quarantine"); err != nil {
+				t.Errorf("quarantine file missing: %v", err)
+			}
+			if v := metricValue(t, ts.URL, "portend_store_load_errors_total"); v != "1" {
+				t.Errorf("portend_store_load_errors_total = %q, want 1", v)
+			}
+			if v := metricValue(t, ts.URL, "portend_store_writes_total"); v != "1" {
+				t.Errorf("portend_store_writes_total = %q, want 1", v)
+			}
+			second, done2 := streamLines(t, ts.URL, req)
+			if !done2.WarmStart {
+				t.Error("second request not answered from the store")
+			}
+			assertSame(t, "stored event lines", first, second)
+		})
+	}
+}
+
+// framed wraps payload in the store's container format.
+func framed(payload []byte) []byte {
+	raw := append([]byte(dstore.Schema+"\n"), binary.BigEndian.AppendUint64(nil, uint64(len(payload)))...)
+	raw = append(raw, payload...)
+	return binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
 }
 
 // rawEvents posts a request and decodes every NDJSON event.
@@ -211,8 +296,8 @@ func rawEvents(t *testing.T, base string, req Request) []Event {
 // TestPanicIsolation pins the recover boundary: an injected panic in one
 // run becomes a typed error event on that stream only — the concurrent
 // tenant's run completes, the daemon keeps serving, the panic counter
-// ticks, and the poisoned tier (memory and disk) is discarded so the
-// next identical submission rebuilds cold.
+// ticks, and the run stores nothing, so the next identical submission
+// runs cold.
 func TestPanicIsolation(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
@@ -237,8 +322,8 @@ func TestPanicIsolation(t *testing.T) {
 	if last.Stack == "" || !strings.Contains(last.Message, "injected run panic") {
 		t.Fatalf("panic event missing stack or message: %+v", last)
 	}
-	if len(tierFiles(t, dir)) != 0 {
-		t.Errorf("poisoned tier left durable files: %v", tierFiles(t, dir))
+	if len(storeFiles(t, dir)) != 0 {
+		t.Errorf("panicked run left store files: %v", storeFiles(t, dir))
 	}
 
 	// The daemon is unharmed: the same submission immediately succeeds,
@@ -248,7 +333,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("post-panic run: %v", err)
 	}
 	if done.WarmStart {
-		t.Error("post-panic run warm; poisoned tier survived eviction")
+		t.Error("post-panic run warm; the panicked run stored an entry")
 	}
 	if v := metricValue(t, ts.URL, "portend_run_panics_total"); v != "1" {
 		t.Errorf("portend_run_panics_total = %q, want 1", v)
@@ -257,10 +342,11 @@ func TestPanicIsolation(t *testing.T) {
 
 // TestRunTimeoutWatchdog pins the per-run watchdog: a run over its
 // budget is cancelled through the context plumbing, the stream ends
-// with a terminal error event, the slot frees promptly — and the
-// timeout is not miscounted as a client disconnect.
+// with a terminal error event, the slot frees promptly, the run stores
+// nothing — and the timeout is not miscounted as a client disconnect.
 func TestRunTimeoutWatchdog(t *testing.T) {
-	s := New(Config{Slots: 1, RunTimeout: 200 * time.Millisecond})
+	dir := t.TempDir()
+	s := New(Config{Slots: 1, RunTimeout: 200 * time.Millisecond, DataDir: dir})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := &Client{Base: ts.URL}
@@ -276,6 +362,9 @@ func TestRunTimeoutWatchdog(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("watchdog took %v to fire", elapsed)
+	}
+	if got := storeFiles(t, dir); len(got) != 0 {
+		t.Errorf("watchdog-ended run left store files: %v", got)
 	}
 
 	// The slot must be free for the next run.

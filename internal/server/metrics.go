@@ -8,12 +8,11 @@ import (
 	"time"
 )
 
-// metrics aggregates service-level counters; cache-tier and queue
-// figures are sampled from their owners at scrape time rather than
-// double-counted here.
+// metrics aggregates service-level counters; queue figures are sampled
+// from the dispatcher at scrape time rather than double-counted here.
 type metrics struct {
 	start     time.Time
-	requests  atomic.Int64 // analyses admitted and started
+	requests  atomic.Int64 // verdict streams answered: runs, store hits, static fast path
 	completed atomic.Int64 // analyses that ran to a terminal event
 	badReqs   atomic.Int64 // rejected before admission (400)
 	cancelled atomic.Int64 // runs ended by client disconnect/cancel
@@ -26,10 +25,10 @@ type metrics struct {
 	runPanics   atomic.Int64 // runs ended by the panic recover boundary
 	disconnects atomic.Int64 // requests whose client went away mid-flight
 
-	tierRestores    atomic.Int64 // tiers imported from the durable store
-	tierLoadErrors  atomic.Int64 // durable loads that failed (quarantine/cold)
-	tierFlushes     atomic.Int64 // tier snapshots persisted
-	tierFlushErrors atomic.Int64 // tier snapshot writes that failed
+	storeHits        atomic.Int64 // submissions answered from the verdict store
+	storeLoadErrors  atomic.Int64 // store loads that failed (quarantine/cold)
+	storeWrites      atomic.Int64 // verdict streams written to the store
+	storeWriteErrors atomic.Int64 // store writes that failed
 }
 
 func boolGauge(b bool) int {
@@ -51,7 +50,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	g("portend_uptime_seconds", "Seconds since the server started.", "gauge",
 		int64(time.Since(s.metrics.start).Seconds()))
-	g("portend_requests_total", "Analysis requests admitted and started.", "counter",
+	g("portend_requests_total", "Analysis requests answered with a verdict stream: runs, store hits and static fast-path answers.", "counter",
 		s.metrics.requests.Load())
 	g("portend_requests_completed_total", "Analyses that reached a terminal event.", "counter",
 		s.metrics.completed.Load())
@@ -71,14 +70,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.metrics.runPanics.Load())
 	g("portend_disconnects_total", "Requests whose client disconnected mid-flight (queued or streaming).", "counter",
 		s.metrics.disconnects.Load())
-	g("portend_tier_restores_total", "Cache tiers restored from the durable store.", "counter",
-		s.metrics.tierRestores.Load())
-	g("portend_tier_load_errors_total", "Durable tier loads that failed verification or import (file quarantined or skipped).", "counter",
-		s.metrics.tierLoadErrors.Load())
-	g("portend_tier_flushes_total", "Tier snapshots persisted to the durable store.", "counter",
-		s.metrics.tierFlushes.Load())
-	g("portend_tier_flush_errors_total", "Tier snapshot writes that failed (warmth lost, request unaffected).", "counter",
-		s.metrics.tierFlushErrors.Load())
+	g("portend_store_hits_total", "Submissions answered by replaying a stored verdict stream.", "counter",
+		s.metrics.storeHits.Load())
+	g("portend_store_load_errors_total", "Verdict-store loads that failed verification or decoding (file quarantined) or reading.", "counter",
+		s.metrics.storeLoadErrors.Load())
+	g("portend_store_writes_total", "Verdict streams written to the store.", "counter",
+		s.metrics.storeWrites.Load())
+	g("portend_store_write_errors_total", "Verdict-store writes that failed (reuse lost, request unaffected).", "counter",
+		s.metrics.storeWriteErrors.Load())
 	g("portend_draining", "1 while the server is draining for shutdown.", "gauge",
 		boolGauge(s.draining.Load()))
 	g("portend_requests_active", "Analyses holding a slot right now.", "gauge",
@@ -98,21 +97,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, t := range tenants {
 		fmt.Fprintf(w, "portend_queue_depth{tenant=%q} %d\n", t, depths[t])
 	}
-
-	nTiers, tierEvictions, tierBytes, agg := s.tiers.snapshot()
-	g("portend_tiers", "Resident persistent cache tiers.", "gauge", nTiers)
-	g("portend_tier_evictions_total", "Whole tiers evicted by the registry's LRU bound.", "counter", tierEvictions)
-	g("portend_tier_bytes", "Measured memory footprint of all resident cache tiers.", "gauge", tierBytes)
-	g("portend_tier_checkpoints", "Concrete replay checkpoints resident across tiers.", "gauge", agg.Checkpoints)
-	g("portend_tier_checkpoint_hits_total", "Replays resumed from a tier's concrete store.", "counter", agg.CheckpointHits)
-	g("portend_tier_checkpoint_thinned_total", "Concrete checkpoints dropped by store thinning.", "counter", agg.CheckpointThinned)
-	g("portend_tier_sym_checkpoints", "Symbolic exploration checkpoints resident across tiers.", "gauge", agg.SymCheckpoints)
-	g("portend_tier_sym_hits_total", "Explorations resumed from a tier's symbolic store.", "counter", agg.SymHits)
-	g("portend_tier_sibling_memos", "Memoized sibling outcomes resident across tiers.", "gauge", agg.SiblingMemos)
-	g("portend_tier_sibling_memo_hits_total", "Pending-fork re-runs skipped via sibling memos.", "counter", agg.SibMemoHits)
-	g("portend_tier_solver_entries", "Solver memo entries resident across tiers.", "gauge", agg.SolverEntries)
-	g("portend_tier_solver_hits_total", "Solver queries answered from a tier's memo.", "counter", agg.SolverHits)
-	g("portend_tier_solver_evictions_total", "Solver memo entries evicted (LRU) across tiers.", "counter", agg.SolverEvictions)
-	g("portend_tier_solver_cap", "Summed adaptive solver-cache capacity across tiers.", "gauge", agg.SolverCap)
-	g("portend_tier_solver_resizes_total", "Adaptive solver-cache growth steps across tiers.", "counter", agg.SolverResizes)
 }

@@ -1,7 +1,7 @@
 // Package server implements portendd, the long-lived multi-tenant
 // analysis service: an HTTP/JSON front end over the public portend
-// facade that streams verdicts as NDJSON, keeps per-submission
-// persistent cache tiers so repeat analyses start warm, and applies
+// facade that streams verdicts as NDJSON, answers repeat submissions
+// from a durable verdict store, and applies
 // admission control (fair round-robin across tenants, bounded queues,
 // load shedding that degrades to coarser verdicts before it drops
 // work). See docs/service.md for the wire protocol.
@@ -122,8 +122,8 @@ type Event struct {
 
 	// Panic marks a terminal error event minted by the recover boundary
 	// around a panicking run; Stack carries the captured goroutine stack.
-	// The panic poisons (evicts) the run's cache tier but the daemon and
-	// every other request keep serving.
+	// The daemon and every other request keep serving, and the run
+	// stores nothing.
 	Panic bool   `json:"panic,omitempty"`
 	Stack string `json:"stack,omitempty"`
 
@@ -158,13 +158,11 @@ type DoneInfo struct {
 	Errors     int    `json:"errors"`
 	DurationNs int64  `json:"durationNs"`
 
-	// WarmStart reports that this run's cache tier already held entries
-	// deposited by an earlier identical submission. Tier snapshots the
-	// tier after the run; the Hit deltas attribute cross- and intra-run
-	// reuse observed while this run executed.
-	WarmStart bool     `json:"warmStart"`
-	Degraded  bool     `json:"degraded,omitempty"`
-	Tier      TierInfo `json:"tier"`
+	// WarmStart reports that the stream was replayed from the verdict
+	// store, written by an earlier identical submission; every other
+	// field except DurationNs is then the stored run's.
+	WarmStart bool `json:"warmStart"`
+	Degraded  bool `json:"degraded,omitempty"`
 
 	// StaticClean marks a fast-path answer: the static pre-analysis
 	// proved the program race-free (no candidate pair survives its
@@ -182,20 +180,6 @@ type DoneInfo struct {
 	// siblings). Throughput accounting; never affects a verdict.
 	CloneAllocs int64 `json:"cloneAllocs,omitempty"`
 	CloneBytes  int64 `json:"cloneBytes,omitempty"`
-}
-
-// TierInfo is the wire form of a cache tier's population and traffic.
-type TierInfo struct {
-	Runs            int64 `json:"runs"`
-	Checkpoints     int   `json:"checkpoints"`
-	CheckpointHits  int   `json:"checkpointHits"`
-	SymCheckpoints  int   `json:"symCheckpoints"`
-	SymHits         int   `json:"symHits"`
-	SiblingMemoHits int   `json:"siblingMemoHits"`
-	SolverEntries   int   `json:"solverEntries"`
-	SolverHits      int   `json:"solverHits"`
-	SolverCap       int   `json:"solverCap"`
-	SolverResizes   int   `json:"solverResizes"`
 }
 
 // LintIssue is one static diagnostic attached to a 422 rejection.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dstore"
 	"repro/internal/fault"
-	"repro/internal/sa"
 	"repro/portend"
 )
 
@@ -35,15 +33,7 @@ type Config struct {
 	QueueSoft int
 	QueueHard int
 
-	// MemoryBudgetMB bounds the persistent cache tiers collectively
-	// (default 256), enforced against each tier's measured footprint
-	// (core.CacheTier.MemBytes). MaxTiers is a hard count backstop on
-	// top of the byte budget; it defaults from the budget with a coarse
-	// ~8MB per-tier estimate.
-	MemoryBudgetMB int
-	MaxTiers       int
-
-	// SolverCacheCeiling caps each tier's adaptive solver memo (<= 0
+	// SolverCacheCeiling caps each run's adaptive solver memo (<= 0
 	// means the solver package default).
 	SolverCacheCeiling int
 
@@ -51,14 +41,14 @@ type Config struct {
 	// one (default: the engine default, GOMAXPROCS).
 	DefaultParallel int
 
-	// DataDir, when set, makes cache tiers durable: each tier is
-	// serialized to one checksummed file under the directory (see
-	// internal/dstore) after its runs finish and again on drain, and is
-	// restored lazily on the first request for its key after a restart —
-	// repeat submissions then report warmStart across process lifetimes,
-	// with byte-identical verdicts. Corrupt or version-skewed files are
-	// quarantined and logged and the tier starts cold; durability
-	// failures never fail a request.
+	// DataDir, when set, enables the verdict store: each completed,
+	// undegraded stream is written to one checksummed file under the
+	// directory (see internal/dstore), and a later identical submission —
+	// in this process or after a restart — is answered by replaying it
+	// byte for byte, with warmStart set on its done event. Corrupt or
+	// version-skewed files are quarantined and logged and the submission
+	// runs cold; store failures never fail a request. Without DataDir
+	// every request runs.
 	DataDir string
 
 	// RunTimeout, when positive, is the per-run watchdog: an analysis
@@ -68,15 +58,9 @@ type Config struct {
 	RunTimeout time.Duration
 
 	// DrainTimeout bounds how long Drain waits for in-flight runs
-	// before flushing tiers and returning (default 10s).
+	// (default 10s).
 	DrainTimeout time.Duration
 }
-
-// estTierMB is the coarse per-tier memory estimate used to derive the
-// default tier-count backstop from MemoryBudgetMB: 64 checkpoints ×
-// ~2 stores × ~50KB state clones, plus the solver memo, rounded up
-// generously. Eviction itself uses measured footprints.
-const estTierMB = 8
 
 func (c Config) withDefaults() Config {
 	if c.Slots < 1 {
@@ -88,15 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueHard < 1 {
 		c.QueueHard = 8
 	}
-	if c.MemoryBudgetMB < 1 {
-		c.MemoryBudgetMB = 256
-	}
-	if c.MaxTiers < 1 {
-		c.MaxTiers = c.MemoryBudgetMB / estTierMB
-		if c.MaxTiers < 1 {
-			c.MaxTiers = 1
-		}
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
@@ -104,31 +79,26 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the portendd service: admission control in front of the
-// portend analyzer, persistent cache tiers behind it, optionally backed
-// by a durable on-disk store.
+// portend analyzer, optionally fronted by a durable verdict store.
 type Server struct {
 	cfg      Config
 	dispatch *dispatcher
-	tiers    *tierRegistry
 	metrics  metrics
 
-	store    *dstore.Dir  // nil = in-memory tiers only
-	ready    atomic.Bool  // startup tier-index scan finished
+	store    *dstore.Dir  // nil = no verdict store; every request runs
+	ready    atomic.Bool  // startup store scan finished
 	draining atomic.Bool  // Drain called; no new work admitted
 	inflight atomic.Int64 // requests inside handleAnalyze
 }
 
 // New builds a Server from the config. An unusable DataDir is logged
 // and the server runs without durability — by contract, durability
-// failures cost warmth across restarts, never availability.
+// failures cost reuse, never availability.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	tierOpts := core.DefaultOptions()
-	tierOpts.SolverCacheCeiling = cfg.SolverCacheCeiling
 	s := &Server{
 		cfg:      cfg,
 		dispatch: newDispatcher(cfg.Slots, cfg.QueueSoft, cfg.QueueHard),
-		tiers:    newTierRegistry(cfg.MaxTiers, int64(cfg.MemoryBudgetMB)<<20, tierOpts),
 		metrics:  metrics{start: time.Now()},
 	}
 	if cfg.DataDir != "" {
@@ -140,7 +110,7 @@ func New(cfg Config) *Server {
 			if keys, err := d.Scan(); err != nil {
 				log.Printf("portendd: data dir scan: %v", err)
 			} else if len(keys) > 0 {
-				log.Printf("portendd: data dir %s: %d durable tier(s) indexed", cfg.DataDir, len(keys))
+				log.Printf("portendd: data dir %s: %d stored verdict stream(s) indexed", cfg.DataDir, len(keys))
 			}
 		}
 	}
@@ -151,7 +121,7 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP routes: POST /v1/analyze (NDJSON
 // verdict stream), GET /metrics (Prometheus text), GET /healthz (pure
 // liveness — 200 for as long as the process serves), GET /readyz
-// (readiness — 503 before the startup tier scan and while draining).
+// (readiness — 503 before the startup store scan and while draining).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -177,95 +147,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Drain stops admission (new requests get 503 with Draining set, and
-// /readyz turns 503), waits up to the configured DrainTimeout for
-// in-flight runs to finish, then flushes every idle tier to the durable
-// store. Call before shutting the HTTP server down so a SIGTERM loses
-// no warmth.
+// /readyz turns 503) and waits up to the configured DrainTimeout for
+// in-flight runs to finish. Completed runs have already written their
+// store entries, so there is nothing to flush.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	s.flushAll()
-}
-
-// tierFor fetches the tier for key, restoring it from the durable store
-// on first sight — which covers both post-restart warmth and reload
-// after an LRU eviction.
-func (s *Server) tierFor(key tierKey) *core.CacheTier {
-	tier, created := s.tiers.get(key)
-	if created && s.store != nil {
-		s.restoreTier(key, tier)
-	}
-	return tier
-}
-
-// restoreTier loads and imports the durable snapshot for key, if one
-// exists. A file that fails verification or import is quarantined and
-// the tier stays cold; transient read failures just stay cold.
-func (s *Server) restoreTier(key tierKey, tier *core.CacheTier) {
-	hk := hex.EncodeToString(key[:])
-	if fault.Fire(fault.TierLoadDelay) {
-		// Chaos hook: hold the restore open so a test can kill or drain
-		// the daemon mid-load.
-		time.Sleep(250 * time.Millisecond)
-	}
-	var snap core.TierSnapshot
-	err := s.store.Load(hk, &snap)
-	switch {
-	case err == nil:
-	case errors.Is(err, dstore.ErrNotFound):
-		return
-	case errors.Is(err, dstore.ErrBadFile):
-		s.metrics.tierLoadErrors.Add(1)
-		log.Printf("portendd: tier %s: %v — quarantined, starting cold", hk[:12], err)
-		if qerr := s.store.Quarantine(hk); qerr != nil {
-			log.Printf("portendd: tier %s: %v", hk[:12], qerr)
-		}
-		return
-	default:
-		s.metrics.tierLoadErrors.Add(1)
-		log.Printf("portendd: tier %s: load: %v — starting cold", hk[:12], err)
-		return
-	}
-	if err := tier.Restore(&snap); err != nil {
-		s.metrics.tierLoadErrors.Add(1)
-		log.Printf("portendd: tier %s: restore: %v — quarantined, starting cold", hk[:12], err)
-		if qerr := s.store.Quarantine(hk); qerr != nil {
-			log.Printf("portendd: tier %s: %v", hk[:12], qerr)
-		}
-		return
-	}
-	s.metrics.tierRestores.Add(1)
-}
-
-// flushTier persists the tier's snapshot unless a run is active on it —
-// the last finisher on a busy tier takes the flush instead. Write
-// failures are logged and counted, never surfaced to the request.
-func (s *Server) flushTier(key tierKey, tier *core.CacheTier) {
-	if s.store == nil {
-		return
-	}
-	snap, ok := tier.SnapshotIfIdle()
-	if !ok {
-		return
-	}
-	hk := hex.EncodeToString(key[:])
-	if err := s.store.Write(hk, snap); err != nil {
-		s.metrics.tierFlushErrors.Add(1)
-		log.Printf("portendd: flush tier %s: %v", hk[:12], err)
-		return
-	}
-	s.metrics.tierFlushes.Add(1)
-}
-
-// flushAll persists every resident idle tier (drain path).
-func (s *Server) flushAll() {
-	if s.store == nil {
-		return
-	}
-	s.tiers.each(func(key tierKey, t *core.CacheTier) { s.flushTier(key, t) })
 }
 
 // TenantHeader names the request header carrying the tenant identity;
@@ -318,26 +208,28 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Static admission (before taking a slot): fetch the submission's
-	// static-analysis facts from its tier — computed once per tier, a
-	// pure function of the program — and short-circuit the two cases a
-	// dynamic run cannot improve on. A program with an error-severity
-	// lint faults on every execution of the flagged site: reject it with
-	// the diagnostics instead of burning a slot reproducing the fault. A
-	// statically race-free program cannot yield a single race report:
-	// answer the empty verdict stream immediately. Target-resolution
-	// failures leave facts nil and fall through so the dynamic path
-	// reports them exactly as before.
+	// The verdict store answers a stored submission before lint and
+	// admission: the engine is deterministic, so the stored stream
+	// carries the verdicts a new run would send.
+	var key storeKey
+	if s.store != nil {
+		key = keyFor(&req, opts)
+		if s.serveStored(w, key, markDisc) {
+			return
+		}
+	}
+
+	// Static admission (before taking a slot): lint the submission and
+	// short-circuit the two cases a dynamic run cannot improve on. A
+	// program with an error-severity lint faults on every execution of
+	// the flagged site: reject it with the diagnostics instead of burning
+	// a slot reproducing the fault. A statically race-free program cannot
+	// yield a single race report: answer the empty verdict stream
+	// immediately. Target-resolution failures fall through so the dynamic
+	// path reports them exactly as before.
 	if !opts.NoStaticPrune {
-		tier := s.tierFor(keyFor(&req, opts))
-		facts := tier.StaticFacts(func() *sa.Facts {
-			lr, err := portend.Lint(target)
-			if err != nil {
-				return nil
-			}
-			return lr.Facts()
-		})
-		if facts != nil {
+		if lr, err := portend.Lint(target); err == nil {
+			facts := lr.Facts()
 			if bad := facts.ErrorLints(); len(bad) > 0 {
 				s.metrics.lintRejections.Add(1)
 				body := ErrorBody{Error: "static analysis: program faults on every execution of the flagged synchronization"}
@@ -392,34 +284,26 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		deg = &DegradedInfo{Mp: opts.Mp, Ma: opts.Ma}
 	}
 
-	// The tier key hashes the effective options, so degraded runs get a
-	// tier of their own — a coarser run's checkpoints are states of a
-	// different exploration and must not warm a full-budget run.
-	key := keyFor(&req, opts)
-	tier := s.tierFor(key)
-	before := tier.Stats()
-	endRun := tier.BeginRun()
-	runEnded := false
-	endOnce := func() {
-		if !runEnded {
-			runEnded = true
-			endRun()
-		}
-	}
-	defer endOnce()
-	opts.Tier = tier
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// stream keeps the verdict lines sent so far, for the store entry.
+	var stream []byte
 	emit := func(e Event) bool {
-		if err := enc.Encode(e); err != nil {
+		line, err := json.Marshal(e)
+		if err == nil {
+			line = append(line, '\n')
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			markDisc()
 			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
+		}
+		if s.store != nil && e.Type == EventVerdict {
+			stream = append(stream, line...)
 		}
 		return true
 	}
@@ -442,7 +326,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	a := portend.New(portend.WithEngineOptions(opts))
 	start := time.Now()
-	done := DoneInfo{Target: target.Name(), Degraded: degraded, WarmStart: before.Warm()}
+	done := DoneInfo{Target: target.Name(), Degraded: degraded}
 	var (
 		panicked    bool
 		panicEv     Event
@@ -451,7 +335,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	)
 	// The run itself executes under a recover boundary: a panic anywhere
 	// in the engine becomes a typed terminal event on this stream, never
-	// a daemon crash, and poisons only this run's tier.
+	// a daemon crash.
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -517,32 +401,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
-	endOnce()
 
 	if panicked {
-		// Isolate the blast radius: this run may have died mid-deposit,
-		// so its tier (and its durable file) cannot be trusted — evict
-		// both and let the next identical submission rebuild cold. The
-		// admission slot is freed by the deferred release; every other
-		// tenant's run is untouched.
+		// The admission slot is freed by the deferred release; every
+		// other tenant's run is untouched, and the run stores nothing.
 		s.metrics.runPanics.Add(1)
-		s.tiers.evict(key)
-		if s.store != nil {
-			if err := s.store.Remove(hex.EncodeToString(key[:])); err != nil {
-				log.Printf("portendd: %v", err)
-			}
-		}
-		log.Printf("portendd: run panic (tier %x, tenant %q): %s",
-			key[:6], tenant, panicEv.Message)
+		log.Printf("portendd: run panic (tenant %q): %s", tenant, panicEv.Message)
 		emit(panicEv)
 		s.metrics.completed.Add(1)
 		return
 	}
-
-	// Whatever the run deposited is sound even if the stream died or the
-	// run ended in a terminal error — persist the warmth.
-	s.flushTier(key, tier)
-
 	if aborted {
 		return
 	}
@@ -553,9 +421,46 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	done.Races = done.Verdicts + done.Errors
 	done.DurationNs = time.Since(start).Nanoseconds()
-	done.Tier = tierInfo(tier)
-	emit(Event{Type: EventDone, Done: &done})
+	doneEv := Event{Type: EventDone, Done: &done}
+	// Only a full-budget stream with a verdict for every race is stored:
+	// a degraded run's verdicts are coarser than the submission's
+	// options ask for, and a race error may not repeat.
+	if s.store != nil && !degraded && done.Errors == 0 {
+		line, err := json.Marshal(doneEv)
+		if err == nil {
+			s.writeEntry(key, append(stream, append(line, '\n')...))
+		}
+	}
+	emit(doneEv)
 	s.metrics.completed.Add(1)
+}
+
+// serveStored answers the request from the verdict store if key has an
+// entry: the stored verdict lines verbatim, then the stored done event
+// with warmStart set and this request's duration. It reports whether
+// it answered.
+func (s *Server) serveStored(w http.ResponseWriter, key storeKey, markDisc func()) bool {
+	start := time.Now()
+	lines, done, ok := s.loadEntry(key)
+	if !ok {
+		return false
+	}
+	s.metrics.storeHits.Add(1)
+	s.metrics.requests.Add(1)
+	done.WarmStart = true
+	done.DurationNs = time.Since(start).Nanoseconds()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(lines); err != nil {
+		markDisc()
+		return true
+	}
+	if err := json.NewEncoder(w).Encode(Event{Type: EventDone, Done: &done}); err != nil {
+		markDisc()
+		return true
+	}
+	s.metrics.completed.Add(1)
+	return true
 }
 
 // optionsFor resolves a request's options against the service
@@ -604,22 +509,6 @@ func degradeOptions(opts core.Options) core.Options {
 	}
 	opts.Ma = 1
 	return opts
-}
-
-func tierInfo(t *core.CacheTier) TierInfo {
-	s := t.Stats()
-	return TierInfo{
-		Runs:            t.Runs(),
-		Checkpoints:     s.Checkpoints,
-		CheckpointHits:  s.CheckpointHits,
-		SymCheckpoints:  s.SymCheckpoints,
-		SymHits:         s.SymHits,
-		SiblingMemoHits: s.SibMemoHits,
-		SolverEntries:   s.SolverEntries,
-		SolverHits:      s.SolverHits,
-		SolverCap:       s.SolverCap,
-		SolverResizes:   s.SolverResizes,
-	}
 }
 
 func writeError(w http.ResponseWriter, code int, body ErrorBody) {

@@ -329,9 +329,9 @@ func TestShedReturns429(t *testing.T) {
 
 // TestDegradedUnderSoftPressure pins soft shedding: a request admitted
 // past the soft queue depth runs with a coarser budget, announces it
-// with a degraded event, and flags the done summary.
+// with a degraded event, flags the done summary, and stores nothing.
 func TestDegradedUnderSoftPressure(t *testing.T) {
-	s := New(Config{Slots: 1, QueueSoft: 1, QueueHard: 8})
+	s := New(Config{Slots: 1, QueueSoft: 1, QueueHard: 8, DataDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := &Client{Base: ts.URL, Tenant: "t"}
@@ -392,33 +392,113 @@ func TestDegradedUnderSoftPressure(t *testing.T) {
 	if done.Verdicts == 0 {
 		t.Fatal("degraded run produced no verdicts")
 	}
+	// Of the three runs only the full-budget one is stored: the
+	// disconnected hog and the degraded run write nothing.
+	if got := s.metrics.storeWrites.Load(); got != 1 {
+		t.Fatalf("store writes = %d, want 1", got)
+	}
 }
 
-// TestWarmSecondRequest pins the persistent tiers: a repeat submission
-// reports a warm start and observes cross-run checkpoint reuse.
+// TestWarmSecondRequest pins the verdict store: a repeat submission is
+// answered from the store with a warm start, its event lines
+// byte-identical to the first run's (stats included), and its verdicts
+// those of a local analysis.
 func TestWarmSecondRequest(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}).Handler())
+	ts := httptest.NewServer(New(Config{DataDir: t.TempDir()}).Handler())
 	defer ts.Close()
-	c := &Client{Base: ts.URL}
 	req := Request{Workload: "sqlite", Options: &RequestOptions{Parallel: 1}}
 
-	_, _, first := remoteVerdicts(t, c, req)
+	raw1, first := streamLines(t, ts.URL, req)
 	if first.WarmStart {
 		t.Fatal("first request claims a warm start")
 	}
-	lines1, _, second := remoteVerdicts(t, c, req)
+	raw2, second := streamLines(t, ts.URL, req)
 	if !second.WarmStart {
 		t.Fatal("second identical request not warm")
 	}
-	if second.Tier.Runs != 2 {
-		t.Fatalf("tier runs = %d, want 2", second.Tier.Runs)
+	assertSame(t, "stored event lines", raw1, raw2)
+	if second.Verdicts != first.Verdicts || second.Races != first.Races || second.Target != first.Target {
+		t.Fatalf("stored done summary differs: first %+v second %+v", first, second)
 	}
-	delta := second.Tier.CheckpointHits - first.Tier.CheckpointHits
-	if delta <= 0 {
-		t.Fatalf("no cross-run checkpoint reuse: first %+v second %+v", first.Tier, second.Tier)
+	if v := metricValue(t, ts.URL, "portend_store_hits_total"); v != "1" {
+		t.Errorf("portend_store_hits_total = %q, want 1", v)
 	}
 
-	// Warmth must not change verdicts: the second stream is identical.
+	// Reuse must not change verdicts: the second stream is a local run's.
 	lines0, _ := localVerdicts(t, portend.Workload("sqlite"), 1)
+	var lines1 []string
+	for _, l := range raw2 {
+		var ev Event
+		if err := json.Unmarshal([]byte(l), &ev); err != nil {
+			t.Fatal(err)
+		}
+		lines1 = append(lines1, normalizeVerdict(t, ev.Verdict))
+	}
 	assertSame(t, "warm verdicts", lines0, lines1)
+}
+
+// TestNoDataDirRunsEveryRequest pins that reuse needs the store: without
+// a data dir a repeat submission runs again and is never warm.
+func TestNoDataDirRunsEveryRequest(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	req := Request{Workload: "rw", Options: &RequestOptions{Parallel: 1}}
+	for i := 0; i < 2; i++ {
+		if _, done := streamLines(t, ts.URL, req); done.WarmStart {
+			t.Fatalf("request %d warm without a data dir", i)
+		}
+	}
+	if v := metricValue(t, ts.URL, "portend_requests_total"); v != "2" {
+		t.Errorf("portend_requests_total = %q, want 2", v)
+	}
+	if v := metricValue(t, ts.URL, "portend_store_hits_total"); v != "0" {
+		t.Errorf("portend_store_hits_total = %q, want 0", v)
+	}
+}
+
+// TestVerboseRepeatCarriesReports pins Verbose in the store key: a
+// verbose repeat of a stored non-verbose submission runs and carries
+// reports, and its own repeat is served from its own entry.
+func TestVerboseRepeatCarriesReports(t *testing.T) {
+	ts := httptest.NewServer(New(Config{DataDir: t.TempDir()}).Handler())
+	defer ts.Close()
+	req := Request{Workload: "rw", Options: &RequestOptions{Parallel: 1}}
+	streamLines(t, ts.URL, req)
+
+	req.Verbose = true
+	for i, wantWarm := range []bool{false, true} {
+		evs := rawEvents(t, ts.URL, req)
+		if done := evs[len(evs)-1].Done; done == nil || done.WarmStart != wantWarm {
+			t.Fatalf("verbose request %d: done %+v, want warmStart=%v", i, done, wantWarm)
+		}
+		for _, ev := range evs[:len(evs)-1] {
+			if ev.Type == EventVerdict && ev.Report == "" {
+				t.Fatalf("verbose request %d: verdict without a report", i)
+			}
+		}
+	}
+}
+
+// TestStoreHitTakesNoSlot pins that a stored submission is answered
+// before admission: with the only slot held by a long run, a repeat is
+// still served, from the store.
+func TestStoreHitTakesNoSlot(t *testing.T) {
+	s := New(Config{Slots: 1, DataDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := &Client{Base: ts.URL}
+	req := Request{Workload: "rw", Options: &RequestOptions{Parallel: 1}}
+	streamLines(t, ts.URL, req)
+
+	cancel, exited := startSlow(t, s, c, "hog")
+	defer func() { cancel(); <-exited }()
+	ctx, cancelHit := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelHit()
+	done, err := c.Analyze(ctx, req, nil)
+	if err != nil {
+		t.Fatalf("stored submission while the slot is held: %v", err)
+	}
+	if !done.WarmStart {
+		t.Fatal("repeat not answered from the store")
+	}
 }

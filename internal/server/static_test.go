@@ -172,28 +172,3 @@ func TestStaticAdmission(t *testing.T) {
 		}
 	})
 }
-
-// TestStaticFactsCachedOnTier pins that admission computes the static
-// artifact once per tier: a repeat submission reuses the cached facts
-// rather than re-linting.
-func TestStaticFactsCachedOnTier(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 2; i++ {
-		resp := postAnalyze(t, ts.URL, Request{Source: faultySource, Name: "faulty"})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("round %d: status %d, want 422", i, resp.StatusCode)
-		}
-	}
-	if got := s.metrics.lintRejections.Load(); got != 2 {
-		t.Errorf("lintRejections = %d, want 2", got)
-	}
-	// Exactly one tier exists for the submission and it holds the facts.
-	n, _, _, _ := s.tiers.snapshot()
-	if n != 1 {
-		t.Errorf("tiers = %d, want 1", n)
-	}
-}

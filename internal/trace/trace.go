@@ -123,9 +123,6 @@ func ReplayerAt(t *Trace, fallback vm.Controller, pos int) *Replayer {
 	return &Replayer{T: t, Fallback: fallback, pos: pos, DivergedAt: -1}
 }
 
-// Pos returns how many trace decisions have been consumed.
-func (r *Replayer) Pos() int { return r.pos }
-
 // PickNext follows the trace while it matches.
 func (r *Replayer) PickNext(st *vm.State, runnable []int) int {
 	if r.pos < len(r.T.Decisions) {

@@ -493,7 +493,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		}
 		// Heap refs are dense and never reused (FREE marks, it does not
 		// delete), so the new block's ref is exactly the trie's next
-		// index; NextRef is kept as the serialized form of that cursor.
+		// index; NextRef mirrors that cursor.
 		ref := st.allocBlock(cells)
 		st.NextRef = ref + 1
 		fr.Stack = append(fr.Stack, expr.NewConst(ref))

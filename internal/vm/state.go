@@ -196,7 +196,7 @@ type Observer interface {
 }
 
 // globalEpoch mints state epochs. Epoch 0 is reserved for states that
-// were built directly (NewState, DecodeState, struct literals in tests)
+// were built directly (NewState, struct literals in tests)
 // and have never been cloned: their layer stamps are all zero, so they
 // own everything they reference without any initialization.
 var globalEpoch uint64
@@ -282,7 +282,7 @@ type State struct {
 	// only meaningful together with sharedFlag: Clone marks the source
 	// shared (atomically, so concurrent Clones of one checkpoint are
 	// safe) instead of touching epoch, and own() re-epochs lazily on the
-	// next write. Everything below is bookkeeping the wire codec ignores.
+	// next write.
 	epoch      uint64
 	sharedFlag uint32 // set by Clone on the source; cleared by own()
 

@@ -29,9 +29,9 @@ func pruneSuite() []*workloads.Workload {
 // TestStaticArtifactDeterminism pins the sa.Facts artifact bytes:
 // analyzing any workload or curated corpus program repeatedly — and
 // from 8 goroutines at once — yields the identical encoded artifact.
-// The server caches the artifact per tier and keys admission decisions
-// off it, so instability here would make admission behavior depend on
-// which request computed the facts.
+// The server keys admission decisions (lint rejection, the race-free
+// fast path) off it, so instability here would make admission behavior
+// depend on which request computed the facts.
 func TestStaticArtifactDeterminism(t *testing.T) {
 	type prog struct {
 		name string
