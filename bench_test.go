@@ -20,6 +20,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/vm"
 	"repro/internal/workloads"
+	"repro/internal/workloads/corpus"
 )
 
 // BenchmarkTable1_ProgramInventory measures front-end cost: parsing and
@@ -246,6 +247,36 @@ func BenchmarkVM_Interpretation(b *testing.B) {
 		res := vm.NewMachine(st, vm.NewRoundRobin()).Run(50_000_000)
 		if res.Kind != vm.StopFinished {
 			b.Fatalf("run: %v", res.Kind)
+		}
+	}
+}
+
+// BenchmarkVM_SpinTrack measures the interpreter path that dominates
+// Table 3: an alternate-ordering enforcement that times out. The curated
+// adhoc-flag consumer spins on its ready flag while the producer stays
+// suspended, under SpinTrack, until the default enforcement budget runs
+// out; the diagnosis must then call the loop ad-hoc synchronization.
+func BenchmarkVM_SpinTrack(b *testing.B) {
+	var w *workloads.Workload
+	for _, cp := range corpus.Curated() {
+		if cp.Family == corpus.FamAdhocFlag {
+			w = cp.Workload
+			break
+		}
+	}
+	p := w.Compile()
+	base := vm.NewState(p, w.Args, w.Inputs)
+	base.Suspend(1) // the producer, main's first spawn
+	budget := core.DefaultOptions().EnforceBudget
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := vm.NewMachine(base.Clone(), vm.NewRoundRobin())
+		m.SpinTrack = true
+		if res := m.Run(budget); res.Kind != vm.StopBudget {
+			b.Fatalf("run: %v", res.Kind)
+		}
+		if d := m.DiagnoseSpin(2); !d.Looping || !d.WritableByOther {
+			b.Fatalf("consumer diagnosis %+v, want looping ad-hoc sync", d)
 		}
 	}
 }

@@ -10,8 +10,8 @@
 // ignored, so the raw `go test` stream can be piped in unfiltered.
 //
 // With -compare BASELINE.json the command additionally gates the new
-// numbers against a checked-in baseline: any Table3/Table4/Checkpoint
-// benchmark whose ns/op exceeds its baseline by more than the threshold
+// numbers against a checked-in baseline: any Table3/Table4/Checkpoint/
+// SpinTrack benchmark whose ns/op exceeds its baseline by more than the threshold
 // (default 2x, generous enough to absorb runner variance) fails the run
 // with exit status 1 — the CI guard that keeps the perf trajectory from
 // silently regressing.
@@ -113,10 +113,11 @@ func main() {
 }
 
 // gated reports whether a benchmark participates in the regression gate:
-// the evaluation-table and checkpoint benchmarks that define the perf
-// trajectory. Other benchmarks in the stream are recorded but not gated.
+// the evaluation-table, checkpoint and spin-tracking benchmarks that
+// define the perf trajectory. Other benchmarks in the stream are recorded
+// but not gated.
 func gated(name string) bool {
-	for _, key := range []string{"Table3", "Table4", "Checkpoint"} {
+	for _, key := range []string{"Table3", "Table4", "Checkpoint", "SpinTrack"} {
 		if strings.Contains(name, key) {
 			return true
 		}

@@ -16,8 +16,8 @@ package bytecode
 // in one step (bumping its instruction counters by Len so schedule
 // traces, race coordinates, and budgets are bit-identical to unfused
 // execution) or fall back to the original instructions at any time —
-// which it does near budget exhaustion, under spin tracking, and for any
-// state checkpointed mid-sequence by an unfused run. Verdicts therefore
+// which it does near budget exhaustion and for any state checkpointed
+// mid-sequence by an unfused run. Verdicts therefore
 // cannot depend on whether fusion is enabled; the determinism suite
 // diffs the two modes byte for byte.
 //

@@ -5,9 +5,25 @@ import (
 	"testing"
 )
 
+// lexAll tokenizes the whole input. The returned slice always ends with EOF.
+func lexAll(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var out []Token
+	for {
+		tok, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tok)
+		if tok.Kind == EOF {
+			return out, nil
+		}
+	}
+}
+
 func lexKinds(t *testing.T, src string) []Kind {
 	t.Helper()
-	toks, err := Lex(src)
+	toks, err := lexAll(src)
 	if err != nil {
 		t.Fatalf("lex: %v", err)
 	}
@@ -74,7 +90,7 @@ let x = 1 /* block
 }
 
 func TestLexStringEscapes(t *testing.T) {
-	toks, err := Lex(`print("a\nb\t\"q\"")`)
+	toks, err := lexAll(`print("a\nb\t\"q\"")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +100,7 @@ func TestLexStringEscapes(t *testing.T) {
 }
 
 func TestLexHex(t *testing.T) {
-	toks, err := Lex("let x = 0x1F")
+	toks, err := lexAll("let x = 0x1F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +116,7 @@ func TestLexErrors(t *testing.T) {
 		"let x = @",
 		`"bad \q escape"`,
 	} {
-		if _, err := Lex(src); err == nil {
+		if _, err := lexAll(src); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
@@ -233,6 +249,26 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Fatalf("expected parse error for %q", src)
 		}
+	}
+}
+
+// TestLexErrorOutranksEarlierParseError pins the error precedence of the
+// streaming parser: a lexical error anywhere in the source is reported
+// even when a parse error comes first, and a parse error without any
+// lexical one is reported as itself.
+func TestLexErrorOutranksEarlierParseError(t *testing.T) {
+	_, err := Parse("fn main( {}\nfn other() {\n\tlet y = 1 @ 2\n}")
+	le, ok := err.(*Error)
+	if !ok {
+		t.Fatalf("want *Error, got %T (%v)", err, err)
+	}
+	if le.Pos.Line != 3 || !strings.Contains(le.Msg, "unexpected character") {
+		t.Fatalf("got %v, want the line-3 lexical error", le)
+	}
+
+	_, err = Parse("fn main( {}\nfn other() {\n\tlet y = 1 + 2\n}")
+	if le, ok = err.(*Error); !ok || le.Pos.Line != 1 {
+		t.Fatalf("got %v, want the line-1 parse error", err)
 	}
 }
 

@@ -24,22 +24,6 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input. The returned slice always ends with EOF.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tok)
-		if tok.Kind == EOF {
-			return out, nil
-		}
-	}
-}
-
 func (lx *Lexer) peekByte() (byte, bool) {
 	if lx.off >= len(lx.src) {
 		return 0, false

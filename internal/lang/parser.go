@@ -2,34 +2,55 @@ package lang
 
 import "fmt"
 
-// Parser builds a PIL AST from a token stream.
+// Parser builds a PIL AST from the lexer's token stream. It never
+// backtracks, so a two-token lookahead window is all it keeps.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  *Lexer
+	tok [2]Token // the current token and the one after it
+	// lexErr is the first lexer error. The stream reads as EOF after
+	// it, and Parse reports it in place of any parse error.
+	lexErr error
 }
 
-// Parse lexes and parses a PIL source file.
+// Parse lexes and parses a PIL source file. A lexical error anywhere in
+// src takes precedence over a parse error, even an earlier one.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	p := &Parser{lx: NewLexer(src)}
+	p.tok[0] = p.lex()
+	p.tok[1] = p.lex()
+	prog, err := p.parseProgram()
 	if err != nil {
-		return nil, err
+		// Drain the lexer: a later lexical error outranks this one.
+		for p.lexErr == nil && p.lex().Kind != EOF {
+		}
 	}
-	p := &Parser{toks: toks}
-	return p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
-func (p *Parser) peek() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// lex pulls the next token from the lexer, recording a lexer error and
+// yielding EOF in its place.
+func (p *Parser) lex() Token {
+	if p.lexErr == nil {
+		tok, err := p.lx.Next()
+		if err == nil {
+			return tok
+		}
+		p.lexErr = err
 	}
-	return p.toks[len(p.toks)-1]
+	return Token{Kind: EOF}
 }
+
+func (p *Parser) cur() Token  { return p.tok[0] }
+func (p *Parser) peek() Token { return p.tok[1] }
 
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok[0]
+	if t.Kind != EOF {
+		p.tok[0] = p.tok[1]
+		p.tok[1] = p.lex()
 	}
 	return t
 }

@@ -65,6 +65,50 @@ func TestExecAllocFree(t *testing.T) {
 	}
 }
 
+// spinSrc is the steady spin loop of TestSpinTrackAllocFree: main polls a
+// flag that only the suspended setter writes, through fused arithmetic,
+// global, array and heap reads whose values stay in the intern range.
+const spinSrc = `
+var flag = 0
+var buf[4]
+fn setter() { flag = 1 }
+fn main() {
+	let h = alloc(2)
+	let s = spawn setter()
+	let i = 0
+	let acc = 0
+	while flag == 0 {
+		i = (i + 1) & 63
+		acc = (acc + buf[i & 3] + h[i & 1]) & 127
+	}
+	join(s)
+}`
+
+// TestSpinTrackAllocFree guards the spin tracking of enforcement runs:
+// once both windows' slabs exist, a whole window of a steady spin loop
+// under SpinTrack — rollover included — allocates nothing.
+func TestSpinTrackAllocFree(t *testing.T) {
+	const window = 8192 // vm's spin window, in ticks
+	st := vm.NewState(bytecode.MustCompile(spinSrc, "spin", bytecode.Options{}), nil, nil)
+	st.Suspend(1)
+	m := vm.NewMachine(st, vm.NewRoundRobin())
+	m.SpinTrack = true
+	if res := m.Run(3 * window); res.Kind != vm.StopBudget {
+		t.Fatalf("warm-up run: %v", res.Kind)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if res := m.Run(window); res.Kind != vm.StopBudget {
+			t.Fatalf("run: %v", res.Kind)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one spin window under SpinTrack allocates %v times, want 0", allocs)
+	}
+	if d := m.DiagnoseSpin(0); !d.Looping || !d.WritableByOther {
+		t.Errorf("diagnosis %+v, want looping ad-hoc sync", d)
+	}
+}
+
 // cloneSink keeps State.Clone results live so AllocsPerRun measures the
 // clone itself, not a dead store the compiler elides.
 var cloneSink *vm.State

@@ -74,12 +74,13 @@ type Machine struct {
 	PreemptAccesses bool
 
 	// SpinTrack enables the loop diagnosis used on alternate-enforcement
-	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). While it
-	// is on, the superinstruction fast path is disabled so the per-
-	// instruction tick window of the diagnosis stays exactly as in
-	// unfused execution.
+	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). Fused
+	// superinstructions still dispatch in one step: they advance the
+	// diagnosis' tick window by their covered length and hold no jump
+	// or shared read, so the diagnosis matches unfused execution.
 	SpinTrack bool
 	spin      []*spinInfo // per-thread, indexed by tid
+	spinCur   *spinInfo   // spin data of St.Cur; nil unless SpinTrack (see syncSpin)
 
 	// Counters, when non-nil, receives this machine's fast-path tallies
 	// (fused superinstructions, interned constants) at the end of each
@@ -128,6 +129,7 @@ func (m *Machine) pick(runnable []int) {
 	m.St.Cur = t
 	m.skipTID = t
 	m.skipInstr = m.St.Threads[t].Instrs
+	m.syncSpin()
 }
 
 // interruptStride is how many loop iterations pass between Interrupt
@@ -162,6 +164,7 @@ func (m *Machine) run(budget int64) RunResult {
 	st := m.St
 	var steps int64
 	var tick int64
+	m.syncSpin()
 	for {
 		if m.Interrupt != nil {
 			if tick%interruptStride == 0 && m.Interrupt() {
@@ -231,19 +234,20 @@ func (m *Machine) run(budget int64) RunResult {
 		// effect-free (no sync ops, shared accesses, jumps, or failure
 		// paths), so skipping their Break/scheduling checks is sound; the
 		// counters advance by the covered length so budgets and traces
-		// cannot tell the difference. Near budget exhaustion (a stop
-		// could land mid-sequence) and under spin tracking (per-
-		// instruction tick windows) the sequence runs unfused instead.
-		if !m.SpinTrack {
-			if fs := st.Prog.Funcs[fr.Fn].Fused; fs != nil {
-				if f := &fs[fr.PC]; f.Kind != bytecode.FuseNone && (budget < 0 || steps+int64(f.Len) <= budget) {
-					if m.execFused(fr, f) {
-						n := int64(f.Len)
-						th.Instrs += n
-						st.Steps += n
-						steps += n
-						continue
+		// cannot tell the difference, and neither can the spin window,
+		// which ticks by the same length. Near budget exhaustion (a stop
+		// could land mid-sequence) the sequence runs unfused instead.
+		if fs := st.Prog.Funcs[fr.Fn].Fused; fs != nil {
+			if f := &fs[fr.PC]; f.Kind != bytecode.FuseNone && (budget < 0 || steps+int64(f.Len) <= budget) {
+				if m.execFused(fr, f) {
+					n := int64(f.Len)
+					th.Instrs += n
+					st.Steps += n
+					steps += n
+					if si := m.spinCur; si != nil {
+						si.tick(n, st.Prog)
 					}
+					continue
 				}
 			}
 		}
@@ -377,7 +381,9 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 	tid := th.ID
 	p := st.Prog
 
-	m.trackSpinPC(tid, in, pcref)
+	if si := m.spinCur; si != nil {
+		si.tick(1, p)
+	}
 
 	switch in.Op {
 	case bytecode.NOP:
@@ -422,9 +428,8 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		return true, nil
 
 	case bytecode.LOADG:
-		loc := Loc{Space: SpaceGlobal, Obj: in.A}
-		st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-		m.trackSpinRead(tid, loc)
+		st.notifyAccess(tid, Loc{Space: SpaceGlobal, Obj: in.A}, false, pcref, th.Instrs)
+		m.trackSpinGlobal(in.A)
 		fr.Stack = append(fr.Stack, st.Globals[in.A][0])
 		fr.PC++
 		return true, nil
@@ -465,7 +470,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		loc := Loc{Space: SpaceGlobal, Obj: in.A, Elem: idx}
 		if in.Op == bytecode.LOADE {
 			st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-			m.trackSpinRead(tid, loc)
+			m.trackSpinGlobal(in.A)
 			fr.Stack = append(fr.Stack, cells[idx])
 		} else {
 			st.notifyAccess(tid, loc, true, pcref, th.Instrs)
@@ -560,7 +565,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		loc := Loc{Space: SpaceHeap, Obj: ref, Elem: idx}
 		if in.Op == bytecode.LOADH {
 			st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-			m.trackSpinRead(tid, loc)
+			m.trackSpinHeap(loc)
 			fr.Stack = append(fr.Stack, blk.Cells[idx])
 		} else {
 			st.notifyAccess(tid, loc, true, pcref, th.Instrs)
@@ -620,10 +625,12 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		return true, nil
 
 	case bytecode.JMP:
+		m.trackSpinJump(pcref)
 		fr.PC = int(in.A)
 		return true, nil
 
 	case bytecode.JZ:
+		m.trackSpinJump(pcref)
 		c, err := m.pop(th, fr, pcref)
 		if err != nil {
 			return false, err

@@ -1,7 +1,8 @@
 package vm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bytecode"
 )
@@ -15,21 +16,67 @@ import (
 // a loop whose exit condition no live thread can change is an infinite
 // loop (race is "spec violated"), following the criterion of [60].
 //
-// Visit counts live in dense per-function slabs indexed by pc (pcCounts)
-// rather than hash maps: trackSpinPC runs on every interpreted
-// instruction of an enforcement, and the map traffic of the previous
-// implementation accounted for a measurable share of pbzip2-style
-// classification time. The current and previous windows double-buffer
-// their slabs, so a window rollover zeroes the touched counters in place
-// instead of allocating fresh maps.
+// Every interpreted instruction of an enforcement passes through this
+// tracking, so it holds no hash maps: visit counts live in dense
+// per-function slabs indexed by pc, global reads in a slab indexed by
+// global id, and each slab keeps a touched list so a window rollover
+// zeroes only what was written. The current and previous windows
+// double-buffer their slabs instead of reallocating every window.
 type spinInfo struct {
-	visits *pcCounts
-	reads  map[Loc]struct{}
-	// previous window, kept so a diagnosis right after a reset still
-	// sees a full window's worth of data
-	prevVisits *pcCounts
-	prevReads  map[Loc]struct{}
-	ticks      int64
+	cur *spinWin
+	// prev is the previous window, kept so a diagnosis right after a
+	// rollover still sees a full window's worth of data; nil until the
+	// first rollover.
+	prev  *spinWin
+	ticks int64
+	next  int64 // tick count at which the current window ends
+}
+
+// spinWin is one window of spin data.
+type spinWin struct {
+	visits pcCounts
+	// globals[g] is set when global g (any element, for arrays) was
+	// read this window; globalsTouched lists the set ids. Elements
+	// collapse into their global because the writability test
+	// (CanBeWrittenByOther) looks only at the global id.
+	globals        []bool
+	globalsTouched []int32
+	// heap lists the heap cells read this window. It may hold
+	// duplicates (see readHeap); DiagnoseSpin deduplicates.
+	heap []Loc
+}
+
+func newSpinWin(p *bytecode.Program) *spinWin {
+	return &spinWin{
+		visits:  pcCounts{funcs: make([][]int32, len(p.Funcs))},
+		globals: make([]bool, len(p.Globals)),
+	}
+}
+
+// reset empties the window in place, keeping its slabs for reuse.
+func (w *spinWin) reset() {
+	w.visits.reset()
+	for _, g := range w.globalsTouched {
+		w.globals[g] = false
+	}
+	w.globalsTouched = w.globalsTouched[:0]
+	w.heap = w.heap[:0]
+}
+
+// heapScan bounds readHeap's duplicate check. A spin loop polls a few
+// heap cells, which the scan over the most recent entries keeps
+// duplicate-free; a thread sweeping many cells costs one append per read
+// instead of a scan of everything it touched. A window holds at most
+// spinWindow reads, which bounds the list either way.
+const heapScan = 8
+
+func (w *spinWin) readHeap(loc Loc) {
+	for _, l := range w.heap[max(0, len(w.heap)-heapScan):] {
+		if l == loc {
+			return
+		}
+	}
+	w.heap = append(w.heap, loc)
 }
 
 // pcCounts is a dense pc-indexed visit counter, one lazily allocated
@@ -38,10 +85,6 @@ type spinInfo struct {
 type pcCounts struct {
 	funcs   [][]int32
 	touched []uint64 // packed fn<<32|pc of nonzero counters
-}
-
-func newPCCounts(p *bytecode.Program) *pcCounts {
-	return &pcCounts{funcs: make([][]int32, len(p.Funcs))}
 }
 
 func (c *pcCounts) inc(p *bytecode.Program, fn, pc int) {
@@ -81,52 +124,74 @@ func (c *pcCounts) anyAtLeast(threshold int32) bool {
 // contaminate the ad-hoc-sync test.
 const spinWindow = 8192
 
-func (m *Machine) spinFor(tid int) *spinInfo {
-	for len(m.spin) <= tid {
+// tick advances the thread's instruction count by n (at most spinWindow)
+// and rolls the window over when the count crosses a window boundary. A
+// fused sequence ticks by its covered length in one call; it holds no
+// jump and no shared read, so rolling over at its end records exactly
+// what per-instruction ticking would.
+func (si *spinInfo) tick(n int64, p *bytecode.Program) {
+	if si.ticks += n; si.ticks >= si.next {
+		si.roll(p)
+	}
+}
+
+// roll starts the next window. Double-buffer rollover: the full window
+// just recorded becomes the previous one, and the old previous window is
+// cleared in place to receive the next.
+func (si *spinInfo) roll(p *bytecode.Program) {
+	si.next += spinWindow
+	si.prev, si.cur = si.cur, si.prev
+	if si.cur == nil {
+		si.cur = newSpinWin(p)
+	} else {
+		si.cur.reset()
+	}
+}
+
+// syncSpin points spinCur at the current thread's spin data, creating
+// it the first time the thread is current, or at nil when tracking is
+// off. The current thread changes only at scheduling points and
+// between Run calls, so the per-instruction hooks below read spinCur
+// instead of looking the thread up.
+func (m *Machine) syncSpin() {
+	m.spinCur = nil
+	cur := m.St.Cur
+	if !m.SpinTrack || cur < 0 || cur >= len(m.St.Threads) {
+		return
+	}
+	for len(m.spin) <= cur {
 		m.spin = append(m.spin, nil)
 	}
-	si := m.spin[tid]
+	if m.spin[cur] == nil {
+		m.spin[cur] = &spinInfo{cur: newSpinWin(m.St.Prog), next: spinWindow}
+	}
+	m.spinCur = m.spin[cur]
+}
+
+// The per-instruction hooks. exec ticks spinCur itself; jumps, global
+// reads and heap reads record into the current window.
+
+func (m *Machine) trackSpinJump(pc bytecode.PCRef) {
+	if si := m.spinCur; si != nil {
+		si.cur.visits.inc(m.St.Prog, pc.Fn, pc.PC)
+	}
+}
+
+func (m *Machine) trackSpinGlobal(g int64) {
+	si := m.spinCur
 	if si == nil {
-		si = &spinInfo{visits: newPCCounts(m.St.Prog), reads: map[Loc]struct{}{}}
-		m.spin[tid] = si
+		return
 	}
-	return si
+	if w := si.cur; !w.globals[g] {
+		w.globals[g] = true
+		w.globalsTouched = append(w.globalsTouched, int32(g))
+	}
 }
 
-func (m *Machine) trackSpinPC(tid int, in bytecode.Instr, pc bytecode.PCRef) {
-	if !m.SpinTrack {
-		return
+func (m *Machine) trackSpinHeap(loc Loc) {
+	if si := m.spinCur; si != nil {
+		si.cur.readHeap(loc)
 	}
-	si := m.spinFor(tid)
-	si.ticks++
-	if si.ticks%spinWindow == 0 {
-		// Double-buffer rollover: the full window just recorded becomes
-		// the previous one, and the old previous buffers are cleared in
-		// place to receive the next window.
-		si.prevVisits, si.visits = si.visits, si.prevVisits
-		si.prevReads, si.reads = si.reads, si.prevReads
-		if si.visits == nil {
-			si.visits = newPCCounts(m.St.Prog)
-		} else {
-			si.visits.reset()
-		}
-		if si.reads == nil {
-			si.reads = map[Loc]struct{}{}
-		} else {
-			clear(si.reads)
-		}
-	}
-	if in.Op != bytecode.JMP && in.Op != bytecode.JZ {
-		return
-	}
-	si.visits.inc(m.St.Prog, pc.Fn, pc.PC)
-}
-
-func (m *Machine) trackSpinRead(tid int, loc Loc) {
-	if !m.SpinTrack {
-		return
-	}
-	m.spinFor(tid).reads[loc] = struct{}{}
 }
 
 // spinLoopThreshold is the visit count above which a jump is considered
@@ -137,7 +202,9 @@ const spinLoopThreshold = 32
 type SpinDiagnosis struct {
 	// Looping: the thread repeatedly executed the same jump.
 	Looping bool
-	// SharedReads: shared locations read while looping.
+	// SharedReads: shared locations read while looping, sorted by
+	// (Space, Obj, Elem). A global array is listed once, as the whole
+	// global (Elem 0); heap cells are listed individually.
 	SharedReads []Loc
 	// WritableByOther: some other live, unsuspended thread may still
 	// write one of SharedReads (per the static write-set analysis) —
@@ -153,28 +220,29 @@ func (m *Machine) DiagnoseSpin(tid int) SpinDiagnosis {
 		return d
 	}
 	si := m.spin[tid]
-	visits := si.visits
-	reads := si.reads
-	if si.ticks%spinWindow < spinWindow/4 && si.prevVisits != nil {
+	w := si.cur
+	if si.ticks%spinWindow < spinWindow/4 && si.prev != nil {
 		// Fresh window: diagnose on the previous one instead.
-		visits, reads = si.prevVisits, si.prevReads
+		w = si.prev
 	}
-	d.Looping = visits.anyAtLeast(spinLoopThreshold)
+	d.Looping = w.visits.anyAtLeast(spinLoopThreshold)
 	if !d.Looping {
 		return d
 	}
-	for loc := range reads {
-		d.SharedReads = append(d.SharedReads, loc)
+	for _, g := range w.globalsTouched {
+		d.SharedReads = append(d.SharedReads, Loc{Space: SpaceGlobal, Obj: int64(g)})
+	}
+	d.SharedReads = append(d.SharedReads, w.heap...)
+	slices.SortFunc(d.SharedReads, func(a, b Loc) int {
+		return cmp.Or(cmp.Compare(a.Space, b.Space), cmp.Compare(a.Obj, b.Obj), cmp.Compare(a.Elem, b.Elem))
+	})
+	d.SharedReads = slices.Compact(d.SharedReads)
+	for _, loc := range d.SharedReads {
 		if m.St.CanBeWrittenByOther(loc, tid) {
 			d.WritableByOther = true
+			break
 		}
 	}
-	sort.Slice(d.SharedReads, func(i, j int) bool {
-		if d.SharedReads[i].Space != d.SharedReads[j].Space {
-			return d.SharedReads[i].Space < d.SharedReads[j].Space
-		}
-		return d.SharedReads[i].Obj < d.SharedReads[j].Obj
-	})
 	return d
 }
 
